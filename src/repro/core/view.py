@@ -54,6 +54,7 @@ from .population import (
     Member,
     normalize_includes,
 )
+from .pushdown import ViewIndexes
 from .resolution import ConflictPolicy, Resolver
 from .stats import ViewStats
 from .upward import acquired_attributes
@@ -76,6 +77,7 @@ class View(Scope):
         self._families: Dict[str, ClassFamily] = {}
         self._materialized: Dict[str, MaterializedClass] = {}
         self._resolver = Resolver(self)
+        self._indexes = ViewIndexes(self)
         self._events = EventBus()
         # Version vector for dependency-keyed cache invalidation:
         # - _schema_version covers structural change (imports, class
@@ -165,6 +167,17 @@ class View(Scope):
     @property
     def hides(self) -> HideSet:
         return self._hides
+
+    @property
+    def providers(self) -> Tuple[Scope, ...]:
+        """The scopes this view imports from, in import order."""
+        return tuple(self._providers)
+
+    @property
+    def indexes(self) -> ViewIndexes:
+        """The planner's ``indexes`` protocol, answered by the
+        providers' indexes (see :mod:`repro.core.pushdown`)."""
+        return self._indexes
 
     @property
     def maintenance_lock(self) -> threading.RLock:
@@ -638,10 +651,20 @@ class View(Scope):
     # Extents and membership
     # ------------------------------------------------------------------
 
+    def _class_hidden_from_caller(self, class_name: str) -> bool:
+        """Class hides, like attribute hides, bind the view's users:
+        the view's own class definitions (a generalization including a
+        class hidden further down the script) still see the class."""
+        return self._internal_depth == 0 and self._hides.class_hidden(
+            class_name
+        )
+
     def has_class(self, name: str) -> bool:
         if name in self._families:
             return True
-        return name in self._schema and not self._hides.class_hidden(name)
+        return name in self._schema and not self._class_hidden_from_caller(
+            name
+        )
 
     def extent(self, class_name: str, deep: bool = True) -> OidSet:
         """All members of a class in this view.
@@ -659,7 +682,7 @@ class View(Scope):
         class manually edged below C (imaginary populations are new
         objects), which is still included.
         """
-        if self._hides.class_hidden(class_name):
+        if self._class_hidden_from_caller(class_name):
             raise UnknownClassError(class_name)
         if class_name in self._families:
             raise VirtualClassError(
@@ -670,26 +693,29 @@ class View(Scope):
         if ACTIVE_TRACKERS:
             record_extent_read(class_name)
         members: set = set()
-        members.update(self._class_population(class_name).members)
+        members.update(self.immediate_members(class_name).members)
         if deep:
             for name in self._schema.descendants(class_name):
                 vclass = self._virtuals.get(name)
                 if vclass is not None:
                     if vclass.is_imaginary():
-                        members.update(self._class_population(name).members)
+                        members.update(self.immediate_members(name).members)
                     continue
                 for provider in self._providers:
                     if name in provider.schema:
                         members.update(
-                            provider.extent(name, deep=False).members
+                            provider.immediate_members(name).members
                         )
         if not members:
             return EMPTY_OID_SET
         return OidSet.of(members)
 
-    def _class_population(self, name: str) -> OidSet:
-        """Immediate members of one class (virtual population or the
-        providers' shallow extents)."""
+    def immediate_members(self, name: str) -> OidSet:
+        """The class's own members: a virtual class's population, or
+        the providers' immediate members. Unlike the user-facing
+        ``extent`` this answers for a class the view hides — "its
+        objects remain members of visible superclasses", here and one
+        view up."""
         vclass = self._virtuals.get(name)
         if vclass is not None:
             materialized = self._materialized.get(name)
@@ -702,7 +728,7 @@ class View(Scope):
         members: set = set()
         for provider in self._providers:
             if name in provider.schema:
-                members.update(provider.extent(name, deep=False).members)
+                members.update(provider.immediate_members(name).members)
         if not members:
             return EMPTY_OID_SET
         return OidSet.of(members)
@@ -713,7 +739,7 @@ class View(Scope):
     def is_member(self, oid: Oid, class_name: str) -> bool:
         if ACTIVE_TRACKERS:
             record_extent_read(class_name)
-        if self._hides.class_hidden(class_name):
+        if self._class_hidden_from_caller(class_name):
             return False
         if class_name in self._families:
             raise VirtualClassError(

@@ -450,8 +450,17 @@ class VirtualClass:
 
         Returns ``None`` when the member admits no cheap test (complex
         queries). Used both by :meth:`contains` and by incremental
-        materialization.
+        materialization. Runs as view-internal evaluation, like the
+        population it stands in for: hides bind the view's users, not
+        its class definitions.
         """
+        internal = getattr(self._view, "internal_evaluation", None)
+        if internal is None:
+            return self._member_test(member, oid)
+        with internal():
+            return self._member_test(member, oid)
+
+    def _member_test(self, member: Member, oid: Oid) -> Optional[bool]:
         view = self._view
         if isinstance(member, ClassMember):
             return view.is_member(oid, member.class_name)
@@ -478,12 +487,7 @@ class VirtualClass:
             test = self._member_tests.get(id(member))
             if test is None:
                 test = self._member_tests[id(member)] = compile_test(where)
-            env = {variable: view.get(oid)}
-            internal = getattr(view, "internal_evaluation", None)
-            if internal is not None:
-                with internal():
-                    return test(Runtime(view), env)
-            return test(Runtime(view), env)
+            return test(Runtime(view), {variable: view.get(oid)})
         if isinstance(member, ImaginaryMember):
             assert self._imaginary is not None
             return self._imaginary.contains(oid)

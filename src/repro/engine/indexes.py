@@ -394,6 +394,17 @@ class FrozenOrderedIndex(FrozenAttributeIndex):
         )
 
 
+def _own_route(self, class_name: str, attribute: str, ordered: bool = False):
+    """The planner's one lookup, ``(index, path, refusal)``: the index
+    serving the class (or ``None``), the scopes it was reached through
+    and why no index *may* serve the attribute. A database owns its
+    indexes and puts no rule between them and a class: no path, never
+    a refusal — a view's answer (:mod:`repro.core.pushdown`) fills
+    both in."""
+    find = self.find_ordered if ordered else self.find
+    return find(class_name, attribute), (), None
+
+
 class IndexManager:
     """Registry of attribute indexes for one database.
 
@@ -484,6 +495,8 @@ class IndexManager:
                 return index
         return None
 
+    route = _own_route
+
     def specs(self) -> List[Tuple[str, str, str]]:
         """``(class, attribute, kind)`` of every index — the shape a
         replica needs to recreate the registry."""
@@ -572,6 +585,8 @@ class IndexManagerSnapshot:
             ):
                 return index
         return None
+
+    route = _own_route
 
     def __len__(self) -> int:
         return len(self._indexes)

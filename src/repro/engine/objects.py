@@ -66,6 +66,11 @@ class Scope:
         """True if the object belongs to the class *in this scope*."""
         raise NotImplementedError
 
+    def immediate_members(self, class_name: str):
+        """The oids placed in exactly this class, subclasses excluded:
+        what a view importing the class builds its extents from."""
+        return self.extent(class_name, deep=False)
+
     def get(self, oid: Oid) -> "ObjectHandle":
         return ObjectHandle(self, oid)
 

@@ -65,31 +65,41 @@ def disable() -> None:
 
 
 # ----------------------------------------------------------------------
-# Scatter observation channel
+# Examined-rows observation channel
 # ----------------------------------------------------------------------
 #
 # The scatter path (repro.query.shard) knows how many rows the shards
-# scanned; the planner hook that records the statement does not. The
-# thread-local slot below carries that one number upward without
+# scanned, a serial plan how many it examined itself; the planner hook
+# that records the statement knows neither. The thread-local slot below
+# carries that one observation — ``(rows, scattered)`` — upward without
 # threading a parameter through the whole call chain.
 
 
-def note_scatter(scanned: int) -> None:
-    """Record that the current statement scattered, scanning
-    ``scanned`` rows across its shards (accumulates: an aggregate
-    rewrite may scatter several subqueries for one statement)."""
+def note_examined(rows: int, scattered: bool = False) -> None:
+    """Record the rows the current statement examined: scanned across
+    its shards (``scattered``), or by its serial plan — probe
+    candidates visited, extent rows iterated by a scan.
+
+    A statement that scattered accumulates: an aggregate rewrite may
+    scatter several subqueries, then run what is left serially. A
+    serial plan alone reports once, as it finishes — after any
+    statement nested in it (a population query) has reported and been
+    recorded — so its count replaces the slot.
+    """
     if not ENABLED:
         return
-    previous = getattr(_tls, "scatter_scanned", None)
-    _tls.scatter_scanned = scanned + (previous or 0)
+    previous = getattr(_tls, "examined", None)
+    if previous is not None and previous[1]:
+        rows, scattered = rows + previous[0], True
+    _tls.examined = (rows, scattered)
 
 
-def take_scatter() -> Optional[int]:
-    """Consume the scatter observation for the current statement —
-    ``None`` when it did not scatter."""
-    value = getattr(_tls, "scatter_scanned", None)
-    _tls.scatter_scanned = None
-    return value
+def take_examined() -> Tuple[int, bool]:
+    """Consume the current statement's observation: ``(rows,
+    scattered)``, ``(0, False)`` when nothing reported."""
+    value = getattr(_tls, "examined", None)
+    _tls.examined = None
+    return value or (0, False)
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +271,7 @@ class StatementRegistry:
             return "(no statements recorded)"
         header = (
             f"{'calls':>7}  {'total ms':>10}  {'mean ms':>9}"
-            f"  {'p99 ms':>9}  {'rows':>9}  {'plan':>11}"
+            f"  {'p99 ms':>9}  {'rows':>9}  {'scanned':>9}  {'plan':>11}"
             f"  {'scatter':>7}  statement"
         )
         lines = [header, "-" * len(header)]
@@ -274,7 +284,8 @@ class StatementRegistry:
             lines.append(
                 f"{entry['calls']:>7}  {entry['total_ms']:>10.3f}"
                 f"  {entry['mean_ms']:>9.3f}  {entry['p99_ms']:>9.3f}"
-                f"  {entry['rows_returned']:>9}  {plan:>11}"
+                f"  {entry['rows_returned']:>9}"
+                f"  {entry['rows_scanned']:>9}  {plan:>11}"
                 f"  {entry['scattered']:>7}  {text}{suffix}"
             )
         return "\n".join(lines)
@@ -292,17 +303,17 @@ def record_call(
     plan_hit: Optional[bool],
     error: bool,
 ) -> None:
-    """The planner's recording tail: closes the scatter observation
-    and folds the call into :data:`REGISTRY`."""
+    """The planner's recording tail: closes the examined-rows
+    observation and folds the call into :data:`REGISTRY`."""
     elapsed = time.perf_counter() - started
-    scanned = take_scatter()
+    scanned, scattered = take_examined()
     REGISTRY.record(
         text,
         kind,
         elapsed,
         rows=rows,
-        scanned=scanned or 0,
+        scanned=scanned,
         plan_hit=plan_hit,
-        scattered=scanned is not None,
+        scattered=scattered,
         error=error,
     )

@@ -56,7 +56,6 @@ from .builder import (
 from .compile import CompiledQuery, Runtime, compile_query
 from .eval import EvalEnv, evaluate, evaluate_expression
 from .lexer import Token, TokenStream, tokenize
-from .optimizer import ProbePlan, evaluate_optimized, explain, plan
 from .planner import (
     IndexEqPlan,
     IndexRangePlan,
@@ -95,7 +94,6 @@ __all__ = [
     "Not",
     "Path",
     "PlanCache",
-    "ProbePlan",
     "QueryExpr",
     "QuerySource",
     "Runtime",
@@ -119,9 +117,7 @@ __all__ = [
     "ensure_query",
     "evaluate",
     "evaluate_expression",
-    "evaluate_optimized",
     "execute",
-    "explain",
     "explain_plan",
     "format_expression",
     "format_query",
@@ -133,7 +129,6 @@ __all__ = [
     "lit",
     "parse_expression",
     "parse_query",
-    "plan",
     "plan_cache_of",
     "record",
     "select",

@@ -88,7 +88,7 @@ class Runtime:
     query: the scope, the merged function table, the ``self`` value
     and the memo for hoisted (closed) subqueries."""
 
-    __slots__ = ("scope", "functions", "self_value", "memo")
+    __slots__ = ("scope", "functions", "self_value", "memo", "scanned")
 
     def __init__(self, scope, functions=None, self_value=None):
         self.scope = scope
@@ -104,6 +104,9 @@ class Runtime:
         # id(node) -> memoized result for closed subqueries; one memo
         # per execution so mutations between executions are seen.
         self.memo: Dict[int, object] = {}
+        # Rows fetched from class extents (what a scan "examines");
+        # read by the planner for the statement registry.
+        self.scanned = 0
 
 
 # ----------------------------------------------------------------------
@@ -465,14 +468,20 @@ def _compile_source(source: Source) -> Callable:
                         " not support parameterized classes"
                     )
                 get = scope.get
-                return [get(oid) for oid in instantiate(class_name, values)]
+                members = [
+                    get(oid) for oid in instantiate(class_name, values)
+                ]
+                rt.scanned += len(members)
+                return members
 
             return iterate_family
 
         def iterate_class(rt, env):
             scope = rt.scope
             get = scope.get
-            return [get(oid) for oid in scope.extent(class_name)]
+            members = [get(oid) for oid in scope.extent(class_name)]
+            rt.scanned += len(members)
+            return members
 
         return iterate_class
     if isinstance(source, QuerySource):

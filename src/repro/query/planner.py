@@ -20,7 +20,15 @@ considered only when no equality atom has an index. Range plans are
 additionally gated on the attribute's *declared* type (``integer``,
 ``real`` or ``string`` matching the literal bounds): the interpreter's
 ``_compare`` raises on mixed-type or boolean comparisons, and an index
-scan that silently skipped such rows would diverge from it.
+scan that silently skipped such rows would diverge from it. For the
+same reason every conjunct the scan would evaluate before the probe's
+atom, on every member, must be unable to raise: a comparison of a
+declared, stored, visible attribute with a literal of its type,
+indexed or not. The first conjunct that may raise shields the rest.
+
+The ``indexes`` a plan probes are the scope's: a database's own
+registry, or — for a view — its providers', reached by pushdown
+(:mod:`repro.core.pushdown`); the plans are the same.
 
 Plans are cached per scope in a :class:`PlanCache`, keyed on the
 canonical query text and validated against a version token combining
@@ -37,7 +45,11 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..engine.objects import ObjectHandle, unwrap
-from ..engine.tracking import ACTIVE_TRACKERS, record_attribute_read
+from ..engine.tracking import (
+    ACTIVE_TRACKERS,
+    record_attribute_read,
+    record_extent_read,
+)
 from ..engine.types import INTEGER, REAL, STRING
 from ..engine.values import canonicalize
 from ..errors import NonUniqueResultError, QueryError
@@ -54,7 +66,12 @@ from .ast import (
     Var,
 )
 from .builder import ensure_query
-from .compile import CompiledQuery, Runtime, compile_expression, compile_test
+from .compile import (
+    Runtime,
+    compile_expression,
+    compile_select,
+    compile_test,
+)
 from .printer import format_expression, format_query
 
 # A bounded cache: real servers run a finite statement vocabulary, but
@@ -223,17 +240,21 @@ class ScanPlan(Plan):
     kind = "scan"
 
     def __init__(self, select: Select):
-        self.compiled = CompiledQuery(select)
+        self.select = ensure_query(select)
+        self._run = compile_select(self.select)
 
     def execute(self, scope, cache, bindings, functions, self_value):
-        return self.compiled.run(scope, bindings, functions, self_value)
+        rt = Runtime(scope, functions, self_value)
+        result = self._run(rt, bindings)
+        _stats.note_examined(rt.scanned)
+        return result
 
     def describe(self) -> str:
         sources = ", ".join(
             b.source.class_name
             if isinstance(b.source, ClassSource)
             else "<expr>"
-            for b in self.compiled.select.bindings
+            for b in self.select.bindings
         )
         return f"compiled scan over {sources}"
 
@@ -263,6 +284,10 @@ class _ProbePlanBase(Plan):
         # token makes that a one-request race at worst).
         self._fallback = None
         self._select = select
+        # Set by the builder when the index belongs to a provider of
+        # the scope (a view): the scopes from this one down to the
+        # index's owner — ("Top_V", "Mid_V", "Base_V", "db").
+        self.route: Tuple[str, ...] = ()
 
     def _fallback_plan(self) -> ScanPlan:
         if self._fallback is None:
@@ -272,6 +297,13 @@ class _ProbePlanBase(Plan):
     def _candidates(self, scope):
         """OidSet of candidates, or ``None`` to force a fallback."""
         raise NotImplementedError
+
+    def _suffix(self) -> str:
+        suffix = " + residual filter" if self.residual_text else ""
+        if self.route:
+            *chain, owner = self.route
+            suffix += f" [{owner} index via {' > '.join(chain)}]"
+        return suffix
 
     def execute(self, scope, cache, bindings, functions, self_value):
         candidates = self._candidates(scope)
@@ -287,10 +319,16 @@ class _ProbePlanBase(Plan):
             else:
                 stats.record_index_probe()
         if ACTIVE_TRACKERS:
-            # The probe consults the index instead of reading the
-            # attribute per object; record the equivalent reads so
-            # dependency-tracked callers still invalidate correctly.
-            record_attribute_read(self.class_name, self.attribute)
+            # The probe consults the index instead of walking the
+            # extent and reading the attribute per object; record what
+            # the scan would have (the class and everything below it),
+            # so dependency-tracked callers — cached view populations —
+            # still invalidate on any create, delete or update that
+            # could change the candidate set.
+            below = scope.schema.descendants(self.class_name)
+            for name in (self.class_name, *below):
+                record_extent_read(name)
+                record_attribute_read(name, self.attribute)
         if _trace.ENABLED and _trace.current_trace() is not None:
             with _trace.span(
                 "index_probe",
@@ -305,6 +343,7 @@ class _ProbePlanBase(Plan):
             results, scanned = self._filter(
                 scope, candidates, bindings, functions, self_value
             )
+        _stats.note_examined(scanned)
         if self.unique:
             if len(results) != 1:
                 raise NonUniqueResultError(len(results))
@@ -372,10 +411,9 @@ class IndexEqPlan(_ProbePlanBase):
         return index.lookup(self.value)
 
     def describe(self) -> str:
-        residual = " + residual filter" if self.residual_text else ""
         return (
             f"index probe {self.class_name}.{self.attribute} ="
-            f" {self.value!r}{residual}"
+            f" {self.value!r}{self._suffix()}"
         )
 
 
@@ -407,10 +445,9 @@ class IndexRangePlan(_ProbePlanBase):
         )
 
     def describe(self) -> str:
-        residual = " + residual filter" if self.residual_text else ""
         return (
             f"range probe {self.class_name}.{self.attribute}"
-            f" {self.interval.describe()}{residual}"
+            f" {self.interval.describe()}{self._suffix()}"
         )
 
 
@@ -508,28 +545,36 @@ def _attribute_atom(expr: Expr, variable: str):
     return None
 
 
-def _range_type_ok(scope, class_name: str, attribute: str, values) -> bool:
-    """Whether a range plan is error-equivalent to the interpreter.
+def _cannot_raise(scope, class_name: str, attribute: str, op, value) -> bool:
+    """Whether the atom ``var.attribute <op> value`` evaluates without
+    an error on every member of the class — what lets a plan skip it
+    on the rows its probe never visits.
 
-    ``_compare`` raises on boolean or mixed-type operands; an index
-    scan would silently skip them. The declared attribute type rules
-    that out: ``integer``/``real`` attributes can only hold non-bool
-    numbers (see ``values.conforms``), ``string`` only strings — so a
-    matching literal bound can never hit a type error row-by-row.
+    The attribute must be declared, and stored for the class and all
+    below it (a computed one runs arbitrary code). Equality then never
+    raises. ``_compare`` raises on boolean or mixed-type operands; the
+    *declared* type rules that out: ``integer``/``real`` attributes can
+    only hold non-bool numbers (see ``values.conforms``), ``string``
+    only strings — so a matching literal bound can never hit a type
+    error row-by-row. (What a view adds — hides, redefinitions — is
+    its ``indexes.route`` refusal, checked by the caller.)
     """
+    schema = scope.schema
     try:
-        adef = scope.schema.resolve_attribute(class_name, attribute)
+        adefs = [
+            schema.resolve_attribute(name, attribute)
+            for name in (class_name, *schema.descendants(class_name))
+        ]
     except Exception:
         return False
-    declared = adef.declared_type
+    if any(adef.is_computed() for adef in adefs):
+        return False
+    if op == "=":
+        return True
+    declared = adefs[0].declared_type
     if declared is INTEGER or declared is REAL:
-        return all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values
-        )
-    if declared is STRING:
-        return all(isinstance(v, str) for v in values)
-    return False
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return declared is STRING and isinstance(value, str)
 
 
 def build_plan(query, scope) -> Plan:
@@ -541,45 +586,88 @@ def build_plan(query, scope) -> Plan:
     plan = ScanPlan(select)
     if select.where is not None:
         plan.conjunct_roles = [
-            (format_expression(c), "scan filter (no usable index)")
+            (
+                format_expression(c),
+                f"scan filter ({_why_scanned(c, select, scope)})",
+            )
             for c in _conjuncts(select.where)
         ]
     return plan
 
 
-def _probe_plan(select: Select, scope) -> Optional[Plan]:
-    indexes = getattr(scope, "indexes", None)
-    if indexes is None:
-        return None
+def _probe_target(select: Select) -> Optional[Tuple[str, str]]:
+    """``(class, variable)`` of the one plain class binding an index
+    probe can serve, or ``None``."""
     if len(select.bindings) != 1:
         return None
     binding: Binding = select.bindings[0]
     source = binding.source
     if not isinstance(source, ClassSource) or source.arguments:
         return None
-    if select.where is None:
+    return source.class_name, binding.variable
+
+
+def _why_scanned(conjunct: Expr, select: Select, scope) -> str:
+    """Why no index serves ``conjunct`` of a scanned query: a view
+    names the rule that refused the pushdown (``Number is computed in
+    Mid_V``, ``hidden``); an atom that does have an index may raise, or
+    sits behind a conjunct that may (see :func:`_probe_plan`)."""
+    indexes = getattr(scope, "indexes", None)
+    target = _probe_target(select)
+    atom = _attribute_atom(conjunct, target[1]) if target else None
+    if indexes is None or atom is None:
+        return "no usable index"
+    attribute, op, value = atom
+    index, _path, refusal = indexes.route(target[0], attribute, op != "=")
+    if refusal is not None:
+        return refusal
+    if index is None:
+        return "no usable index"
+    if not _cannot_raise(scope, target[0], attribute, op, value):
+        return "index unused: the comparison may raise"
+    return "index unused: an earlier conjunct may raise"
+
+
+def _probe_plan(select: Select, scope) -> Optional[Plan]:
+    indexes = getattr(scope, "indexes", None)
+    target = _probe_target(select)
+    if indexes is None or target is None or select.where is None:
         return None
-    class_name = source.class_name
-    variable = binding.variable
+    class_name, variable = target
     conjuncts = list(_conjuncts(select.where))
 
-    equalities = []  # (position, attribute, value, index)
-    ranges: Dict[str, List[Tuple[int, str, object]]] = {}
+    # Error equivalence: the scan evaluates the conjuncts left to right
+    # on every member, an index plan only on its candidates — so a
+    # conjunct the scan reaches before the probe's own atom must be
+    # unable to raise. The first conjunct that may — anything but a
+    # plain comparison of a declared, visible, stored attribute with a
+    # literal of its type — ends the eligible prefix; within it any
+    # indexed atom may supply the probe, wherever it stands.
+    equalities = []  # (position, attribute, value, index, path)
+    # attribute -> (index, path, [(position, op, value)])
+    ranges: Dict[str, Tuple[object, tuple, list]] = {}
     for position, conjunct in enumerate(conjuncts):
         atom = _attribute_atom(conjunct, variable)
         if atom is None:
-            continue
+            break
         attribute, op, value = atom
+        index, path, refusal = indexes.route(class_name, attribute, op != "=")
+        if refusal is not None or not _cannot_raise(
+            scope, class_name, attribute, op, value
+        ):
+            break
+        if index is None:
+            continue
         if op == "=":
-            index = indexes.find(class_name, attribute)
-            if index is not None:
-                equalities.append((position, attribute, value, index))
+            equalities.append((position, attribute, value, index, path))
         else:
-            ranges.setdefault(attribute, []).append((position, op, value))
+            ranges.setdefault(attribute, (index, path, []))[2].append(
+                (position, op, value)
+            )
 
     if equalities:
         # Most distinct values == smallest expected bucket.
-        position, attribute, value, _index = max(
+        position, attribute, value, _index, path = max(
             equalities, key=lambda entry: entry[3].distinct_values_count()
         )
         residual = _conjoin(
@@ -588,6 +676,7 @@ def _probe_plan(select: Select, scope) -> Optional[Plan]:
         plan = IndexEqPlan(
             select, class_name, variable, attribute, value, residual
         )
+        plan.route = _chain(scope, path)
         plan.conjunct_roles = [
             (
                 format_expression(c),
@@ -599,24 +688,12 @@ def _probe_plan(select: Select, scope) -> Optional[Plan]:
         ]
         return plan
 
-    find_ordered = getattr(indexes, "find_ordered", None)
-    if find_ordered is None:
+    if not ranges:
         return None
-    best = None
-    for attribute, atoms in ranges.items():
-        index = find_ordered(class_name, attribute)
-        if index is None:
-            continue
-        if not _range_type_ok(
-            scope, class_name, attribute, [value for _, _, value in atoms]
-        ):
-            continue
-        score = index.distinct_values_count()
-        if best is None or score > best[0]:
-            best = (score, attribute, atoms)
-    if best is None:
-        return None
-    _score, attribute, atoms = best
+    attribute, (_index, path, atoms) = max(
+        ranges.items(),
+        key=lambda entry: entry[1][0].distinct_values_count(),
+    )
     interval = _Interval()
     used = set()
     for position, op, value in atoms:
@@ -628,6 +705,7 @@ def _probe_plan(select: Select, scope) -> Optional[Plan]:
     plan = IndexRangePlan(
         select, class_name, variable, attribute, interval, residual
     )
+    plan.route = _chain(scope, path)
     plan.conjunct_roles = [
         (
             format_expression(c),
@@ -638,6 +716,12 @@ def _probe_plan(select: Select, scope) -> Optional[Plan]:
         for i, c in enumerate(conjuncts)
     ]
     return plan
+
+
+def _chain(scope, path) -> Tuple[str, ...]:
+    """The scopes from ``scope`` down to the owner of a provider's
+    index, for EXPLAIN; empty when the index is the scope's own."""
+    return (scope.scope_name, *path) if path else ()
 
 
 # ----------------------------------------------------------------------
@@ -743,13 +827,14 @@ def _recorded_execute(query, scope, bindings, functions, self_value):
     hit = None
     result = None
     failed = True
+    _stats.take_examined()  # drop an unrecorded run's (EXPLAIN) count
     started = time.perf_counter()
     try:
         handled, result = _scatter_hook(
             select, scope, bindings, functions, self_value
         )
         if not handled:
-            _stats.take_scatter()  # drop partial aggregate scatters
+            _stats.take_examined()  # drop partial aggregate scatters
             plan, hit, cache = fetch_plan(select, scope)
             if _trace.ENABLED and _trace.current_trace() is not None:
                 with _trace.span("execute", plan=plan.kind) as sp:

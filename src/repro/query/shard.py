@@ -319,8 +319,9 @@ def _run_scatter(executor, select: Select, bindings, mode: str, pin):
     else:
         outcome = executor.scatter(select, text, bindings, mode, pin)
     if _stats.ENABLED:
-        _stats.note_scatter(
-            sum(info["scanned"] for info in outcome.shard_info)
+        _stats.note_examined(
+            sum(info["scanned"] for info in outcome.shard_info),
+            scattered=True,
         )
     return outcome
 

@@ -196,8 +196,9 @@ class TestPipelining:
 
     def test_cheap_requests_overtake_expensive_ones(self, monkeypatch):
         # The reader thread resolves replies in arrival order; record
-        # it to see the server answer pings past a still-running scan
-        # (wall-clock checks like ``slow.done()`` are GIL-timing flaky).
+        # it. The slow request is slow by construction, not by size: a
+        # query function that blocks until the five pings behind it
+        # have been answered — so the order cannot depend on timing.
         from repro.server.aio.client import PendingReply
 
         arrival = []
@@ -208,28 +209,37 @@ class TestPipelining:
             original(self, result=result, error=error)
 
         monkeypatch.setattr(PendingReply, "_resolve", recording)
-        # Big enough that the scan (~100ms+) dwarfs the GIL-contended
-        # submission of the pings behind it (~5ms slices).
-        srv = AsyncViewServer([build_people_db(8000, seed=1)])
+        gate = threading.Event()
+        entered = threading.Event()
+
+        def held(_person):
+            entered.set()
+            assert gate.wait(10), "the pings never overtook the query"
+            return 1
+
+        db = build_people_db(5, seed=1)
+        db.register_function("held", held)
+        srv = AsyncViewServer([db])
         host, port = srv.start()
         try:
             with PipelinedClient(host, port) as c:
                 c.ping()  # warm the executor
                 slow = c.submit(
                     "execute",
-                    line="select P.Name from P in Person"
-                    " where P.Income < 0",  # full scan, tiny output
+                    line="select P.Name from P in Person where held(P) = 0",
                 )
+                assert entered.wait(10)  # the query is running, and stuck
                 fast = [c.submit("ping") for _ in range(5)]
                 for reply in fast:
                     assert reply.result(10) == "pong"
+                assert not slow.done()
+                gate.set()
                 assert slow.result(10)["output"] == "(no results)"
-            scan_position = arrival.index(slow.request_id)
-            ping_positions = [
-                arrival.index(r.request_id) for r in fast
+            assert arrival[-6:] == [r.request_id for r in fast] + [
+                slow.request_id
             ]
-            assert all(p < scan_position for p in ping_positions)
         finally:
+            gate.set()
             srv.stop()
 
     def test_read_your_writes_through_group_commit(self, pclient, aserver):

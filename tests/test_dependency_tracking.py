@@ -257,12 +257,21 @@ class TestDeltaPatching:
         st.tuples(st.integers(0, 24), st.integers(0, 99)), max_size=12
     )
 
+    # Each property runs twice: populated by the scan, and — with an
+    # ordered index on the attribute the definition reads — by a range
+    # probe pushed down through the view.
+
+    @pytest.mark.parametrize("indexed", [False, True])
     @settings(deadline=None, max_examples=40)
     @given(ages=ages, mutations=mutations)
-    def test_delta_patch_equals_full_recompute(self, ages, mutations):
+    def test_delta_patch_equals_full_recompute(
+        self, indexed, ages, mutations
+    ):
         db = Database("D")
         db.define_class("Person", attributes={"Age": "integer"})
         handles = [db.create("Person", Age=age) for age in ages]
+        if indexed:
+            db.create_ordered_index("Person", "Age")
         view = View("V")
         view.import_database(db)
         view.define_virtual_class("Adult", includes=[ADULT])
@@ -277,7 +286,9 @@ class TestDeltaPatching:
         # Maintenance never fell back to a recompute (beyond the warm
         # call and the explicit use_cache=False one).
         assert view.stats.full_recomputes == 2
+        assert view.stats.range_probes == (2 if indexed else 0)
 
+    @pytest.mark.parametrize("indexed", [False, True])
     @settings(deadline=None, max_examples=25)
     @given(
         ages=ages,
@@ -285,11 +296,13 @@ class TestDeltaPatching:
         doomed=st.sets(st.integers(0, 24), max_size=8),
     )
     def test_churned_population_equals_full_recompute(
-        self, ages, born, doomed
+        self, indexed, ages, born, doomed
     ):
         db = Database("D")
         db.define_class("Person", attributes={"Age": "integer"})
         handles = [db.create("Person", Age=age) for age in ages]
+        if indexed:
+            db.create_ordered_index("Person", "Age")
         view = View("V")
         view.import_database(db)
         view.define_virtual_class("Adult", includes=[ADULT])
@@ -306,6 +319,75 @@ class TestDeltaPatching:
             vclass.population(use_cache=False).members
         )
         assert maintained == adults_from_scratch(db)
+
+    def test_probe_population_reads_what_the_scan_reads(self):
+        """A population computed by an index probe must record a read
+        set covering the scan's, or maintenance would miss mutations
+        the probe never looked at: everything the scan reads of the
+        source class and below. (What the scan reads *above* it — the
+        class defining the attribute, through the resolver — moves only
+        with mutations of objects that are no members of the source
+        class, or together with the class's own versions.)"""
+        def read_set(indexed):
+            db = Database("D")
+            db.define_class("Person", attributes={"Income": "integer"})
+            db.define_class("Employee", parents=["Person"])
+            db.define_class("Manager", parents=["Employee"])
+            for index, cls in enumerate(
+                ["Person", "Employee", "Manager"] * 3
+            ):
+                db.create(cls, Income=1000 * index)
+            if indexed:
+                db.create_ordered_index("Person", "Income")
+            low = View("Low")
+            low.import_database(db)
+            view = View("V")
+            view.import_database(low)
+            view.define_virtual_class(
+                "Rich",
+                includes=["select E from Employee where E.Income >= 4000"],
+            )
+            vclass = view.virtual_class("Rich")
+            population = set(vclass.population().members)
+            assert view.stats.range_probes == (1 if indexed else 0)
+            return population, vclass._cache_deps
+
+        scanned, scan_deps = read_set(indexed=False)
+        probed, probe_deps = read_set(indexed=True)
+        assert scanned == probed and len(probed) == 4
+        above = {"Person"}
+        assert set(probe_deps.extents) >= set(scan_deps.extents) - above
+        assert set(probe_deps.attributes) >= {
+            (cls, attr) for cls, attr in scan_deps.attributes
+            if cls not in above
+        }
+        assert {"Employee", "Manager"} <= set(scan_deps.extents)
+
+    def test_indexed_attribute_update_invalidates_probed_population(
+        self, mixed_db
+    ):
+        mixed_db.create_ordered_index("Person", "Income")
+        view = View("V")
+        view.import_database(mixed_db)
+        view.define_virtual_class(
+            "Rich", includes=["select P from Person where P.Income >= 5000"]
+        )
+        vclass = view.virtual_class("Rich")
+        assert len(vclass.population()) == 0  # no candidate at all
+        assert view.stats.range_probes == 1
+        # The probe visited no object, yet a create must still reach it.
+        newcomer = mixed_db.create("Person", Name="n", Age=1, Income=7000)
+        assert set(vclass.population().members) == {newcomer.oid}
+        person = next(iter(mixed_db.extent("Person")))
+        mixed_db.update(person, "Income", 9000)
+        assert set(vclass.population().members) == {person, newcomer.oid}
+        mixed_db.delete(person)
+        assert set(vclass.population().members) == {newcomer.oid}
+        # ...while churn the probe's definition never reads is a hit.
+        view.reset_stats()
+        mixed_db.update(newcomer.oid, "Age", 2)
+        vclass.population()
+        assert (view.stats.hits, view.stats.misses) == (1, 0)
 
     def test_buffer_overflow_falls_back_to_recompute(self, mixed_db,
                                                      adult_view):

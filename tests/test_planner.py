@@ -9,10 +9,14 @@ planner's choice among competing access paths.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import View
 from repro.engine import Database
 from repro.engine.indexes import OrderedAttributeIndex
+from repro.engine.objects import unwrap
+from repro.engine.values import canonicalize
 from repro.errors import (
     HiddenAttributeError,
     QueryError,
@@ -301,6 +305,107 @@ def test_probe_plan_falls_back_if_index_vanishes(db):
     result = plan.execute(db, cache, None, None, None)
     assert result == evaluate(query, db)
     assert cache.snapshot()["index_probes"] == 0  # fell back to scan
+
+
+# ----------------------------------------------------------------------
+# Probe ≡ interpreter (the one index access path)
+# ----------------------------------------------------------------------
+
+
+def _canonical(rows):
+    return sorted(repr(canonicalize(unwrap(row))) for row in rows)
+
+
+PROBED = [
+    ("select P from Person where P.City = 'Paris'", "index probe"),
+    ("select P from Person where 'Paris' = P.City", "index probe"),
+    (
+        "select P from Person where P.City = 'Paris' and P.Age >= 30",
+        "index probe Person.City = 'Paris' + residual filter",
+    ),
+    ("select P.Name from Person where P.City = 'Rome'", "index probe"),
+    (
+        "select [N: P.Name] from P in Person where P.City = 'Oslo'",
+        "index probe",
+    ),
+    # A superclass index serves the subclass...
+    ("select E from Employee where E.City = 'Paris'", "index probe"),
+    ("select P from Person where P.City = 'Atlantis'", "index probe"),
+    # ...and without a usable index the scan answers: no index on the
+    # attribute, an inequality, a join.
+    ("select P from Person where P.Name = 'P1'", "compiled scan"),
+    ("select P from Person where P.Age > 50", "compiled scan"),
+    ("select P from Person where P.City != 'Paris'", "compiled scan"),
+    (
+        "select P from P in Person, Q in Person where P.City = 'Paris'",
+        "compiled scan over Person, Person",
+    ),
+    ("select P from Person", "compiled scan over Person"),
+]
+
+
+@pytest.mark.parametrize("query, path", PROBED)
+def test_probe_equals_interpreter(db, query, path):
+    db.create_index("Person", "City")
+    assert explain_plan(query, db).startswith(path)
+    assert _canonical(execute(query, db)) == _canonical(evaluate(query, db))
+
+
+def test_probe_unique_result_and_subclass_filter(db):
+    db.create_index("Person", "City")
+    target = db.handles("Person")[0]
+    query = (
+        f"select the P from Person where P.City = '{target.City}'"
+        f" and P.Name = '{target.Name}'"
+    )
+    assert execute(query, db) == evaluate(query, db) == target
+    staff = execute("select E from Employee where E.City = 'Paris'", db)
+    assert staff and all(h.real_class == "Employee" for h in staff)
+
+
+def test_probe_sees_index_maintenance(db):
+    db.create_index("Person", "City")
+    query = "select P from Person where P.City = 'Paris'"
+    mover = next(h for h in db.handles("Person") if h.City != "Paris")
+    db.update(mover, "City", "Paris")
+    found = {h.oid for h in execute(query, db)}
+    assert mover.oid in found
+    assert found == {h.oid for h in evaluate(query, db)}
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["Paris", "Rome", "Oslo"]), st.integers(0, 90)
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.sampled_from(["Paris", "Rome", "Oslo", "Atlantis"]),
+    st.integers(0, 90),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_probe_equivalence_property(rows, city, cutoff, through_view):
+    base = Database("H")
+    base.define_class(
+        "Person", attributes={"City": "string", "Age": "integer"}
+    )
+    for c, a in rows:
+        base.create("Person", City=c, Age=a)
+    base.create_index("Person", "City")
+    scope = base
+    if through_view:
+        scope = View("V")
+        scope.import_database(base)
+    query = (
+        f"select P from Person where P.City = '{city}'"
+        f" and P.Age >= {cutoff}"
+    )
+    assert explain_plan(query, scope).startswith("index probe")
+    assert {h.oid for h in execute(query, scope)} == {
+        h.oid for h in evaluate(query, scope)
+    }
 
 
 # ----------------------------------------------------------------------

@@ -149,14 +149,21 @@ class TestEnablement:
         assert not _stats.ENABLED
 
     def test_scatter_channel_accumulates_then_clears(self, enabled):
-        _stats.note_scatter(100)
-        _stats.note_scatter(50)  # aggregate rewrite: second scatter
-        assert _stats.take_scatter() == 150
-        assert _stats.take_scatter() is None
+        _stats.note_examined(100, scattered=True)
+        # aggregate rewrite: a second scatter, then the serial rest
+        _stats.note_examined(50, scattered=True)
+        _stats.note_examined(7)
+        assert _stats.take_examined() == (157, True)
+        assert _stats.take_examined() == (0, False)
+
+    def test_serial_count_replaces_a_serial_count(self, enabled):
+        _stats.note_examined(40)  # e.g. an unrecorded EXPLAIN run
+        _stats.note_examined(3)
+        assert _stats.take_examined() == (3, False)
 
     def test_scatter_channel_dark_when_disabled(self):
-        _stats.note_scatter(10)
-        assert _stats.take_scatter() is None
+        _stats.note_examined(10, scattered=True)
+        assert _stats.take_examined() == (0, False)
 
 
 class TestPlannerIntegration:
@@ -345,3 +352,115 @@ class TestHealthEndpoint:
                 urllib.request.urlopen(f"{base}/healthz", timeout=5)
         finally:
             srv.stop()
+
+
+class TestSerialRowsScanned:
+    """Serial plans report examined rows too (they used to read 0):
+    the extent for a scan, the candidates visited for a probe — on a
+    database and, by pushdown, through a view stack."""
+
+    @pytest.fixture
+    def staff(self):
+        db = Database("Staff")
+        db.define_class(
+            "Person", attributes={"Name": "string", "Age": "integer"}
+        )
+        db.define_class(
+            "Employee", parents=["Person"], attributes={"Number": "integer"}
+        )
+        for i in range(40):
+            db.create("Person", Name=f"p{i}", Age=i)
+        for i in range(10):
+            db.create("Employee", Name=f"e{i}", Age=30 + i, Number=i)
+        return db
+
+    @staticmethod
+    def _entry(fragment):
+        [entry] = [
+            e for e in _stats.REGISTRY.snapshot() if fragment in e["text"]
+        ]
+        return entry
+
+    def test_scan_counts_the_extent(self, staff, enabled):
+        staff.query("select E.Name from E in Employee where E.Number = 3")
+        staff.query("select E.Name from E in Employee where E.Number = 3")
+        entry = self._entry("E.Number = 3")
+        assert entry["rows_returned"] == 2
+        assert entry["rows_scanned"] == 2 * 10
+        assert entry["serial"] == 2 and entry["scattered"] == 0
+
+    def test_probe_counts_its_candidates(self, staff, enabled):
+        staff.create_index("Employee", "Number")
+        staff.create_ordered_index("Person", "Age")
+        staff.query("select E.Name from E in Employee where E.Number = 3")
+        assert self._entry("E.Number = 3")["rows_scanned"] == 1
+        # A superclass index: only candidates that are members count.
+        staff.query("select E.Name from E in Employee where E.Age >= 38")
+        entry = self._entry("E.Age >= 38")
+        assert (entry["rows_returned"], entry["rows_scanned"]) == (2, 2)
+
+    def test_view_stack_scans_then_probes(self, staff, enabled):
+        from repro.core import View
+
+        low, top = View("Low"), View("Top")
+        low.import_database(staff)
+        top.import_database(low)
+        text = "select E.Name from E in Employee where E.Number = 3"
+        assert top.query(text) == ["e3"]
+        assert self._entry("E.Number = 3")["rows_scanned"] == 10
+        staff.create_index("Employee", "Number")
+        assert top.query(text) == ["e3"]
+        entry = self._entry("E.Number = 3")
+        assert entry["kind"] == "View"
+        assert (entry["rows_returned"], entry["rows_scanned"]) == (2, 11)
+
+    def test_nested_population_query_keeps_its_own_count(
+        self, staff, enabled
+    ):
+        from repro.core import View
+
+        view = View("V")
+        view.import_database(staff)
+        view.define_virtual_class(
+            "Senior", includes=["select P from Person where P.Age >= 35"]
+        )
+        assert len(view.query("select S.Name from S in Senior")) == 10
+        # The population query is a statement of its own (50 persons
+        # examined); the outer one examined Senior's 10 members.
+        assert self._entry("P.Age >= 35")["rows_scanned"] == 50
+        assert self._entry("S in Senior")["rows_scanned"] == 10
+
+    def test_explain_leaves_nothing_behind(self, staff, enabled):
+        from repro.obs.explain import explain_analyze
+
+        explain_analyze("select P from P in Person", staff)  # unrecorded
+        staff.query("select E from E in Employee")
+        assert self._entry("E in Employee")["rows_scanned"] == 10
+
+    def test_statements_report_shows_scanned(self, staff, enabled):
+        staff.query("select E.Name from E in Employee where E.Number = 3")
+        report = _stats.REGISTRY.describe()
+        assert "scanned" in report.splitlines()[0]
+        row = report.splitlines()[2].split()
+        assert row[4:6] == ["1", "10"]  # rows returned, rows scanned
+
+    def test_wire_op_and_prometheus_carry_scanned(self):
+        srv = ViewServer([build_people_db(20, seed=13)])
+        host, port = srv.start()
+        try:
+            with Client(host, port) as c:
+                c.execute("select P.Name from P in Person where P.Age >= 0")
+                entry = next(
+                    e for e in c.call("statements")["statements"]
+                    if "P.Age >= 0" in e["text"]
+                )
+                assert entry["rows_scanned"] == entry["rows_returned"] == 20
+                text = c.metrics_text()
+        finally:
+            srv.stop()
+        [line] = [
+            line for line in text.splitlines()
+            if line.startswith("repro_statement_rows_total")
+            and 'direction="scanned"' in line and "P.Age >= 0" in line
+        ]
+        assert line.endswith(" 20")
